@@ -13,7 +13,7 @@ import numpy as np
 from repro.nn.linear import Linear
 from repro.nn.lstm import LSTMCell
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, concat, lstm_trunk
+from repro.nn.tensor import Tensor, concat, lstm_sequence, lstm_trunk, stack
 
 
 class CoordinatedActor(Module):
@@ -36,6 +36,7 @@ class CoordinatedActor(Module):
         self.hidden_size = hidden_size
         self.fused = bool(fused)
         self._trunk_workspace: dict = {}
+        self._sequence_workspace: dict = {}
         self.encoder = Linear(obs_dim + message_dim, hidden_size, rng, fused=fused)
         self.lstm = LSTMCell(hidden_size, hidden_size, rng, fused=fused)
         # Small-gain heads: near-uniform initial policy, near-zero messages.
@@ -76,6 +77,38 @@ class CoordinatedActor(Module):
             return h_new, (h_new, c_new)
         encoded = self.encoder(x).tanh()
         return self.lstm(encoded, state)
+
+    def sequence_hidden(
+        self,
+        obs_seq: Tensor | np.ndarray,
+        msg_seq: Tensor | np.ndarray,
+        state: tuple,
+    ) -> Tensor:
+        """Recurrent trunk over a whole ``(horizon, batch, ·)`` sequence.
+
+        Returns the ``(horizon, batch, hidden)`` hidden states of
+        :meth:`step_hidden` unrolled from ``state`` — with ``fused=True``
+        as one :func:`repro.nn.tensor.lstm_sequence` node (bit-exact with
+        the unroll), otherwise as the per-step composed chain, stacked.
+        """
+        obs_seq = Tensor.ensure(obs_seq)
+        msg_seq = Tensor.ensure(msg_seq)
+        if not self.fused:
+            hidden = []
+            for t in range(obs_seq.shape[0]):
+                h, state = self.step_hidden(obs_seq[t], msg_seq[t], state)
+                hidden.append(h)
+            return stack(hidden, axis=0)
+        return lstm_sequence(
+            concat([obs_seq, msg_seq], axis=-1),
+            state[0],
+            state[1],
+            self.encoder.weight,
+            self.encoder.bias,
+            self.lstm.weight,
+            self.lstm.bias,
+            workspace=self._sequence_workspace,
+        )
 
     def forward(
         self,

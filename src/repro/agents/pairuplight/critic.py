@@ -20,7 +20,7 @@ from repro.env.tsc_env import TrafficSignalEnv
 from repro.nn.linear import Linear
 from repro.nn.lstm import LSTMCell
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, lstm_trunk
+from repro.nn.tensor import Tensor, lstm_sequence, lstm_trunk, stack
 
 #: Feature slots for one-hop neighbours (N/E/S/W of a grid interior node).
 ONE_HOP_SLOTS = 4
@@ -118,6 +118,7 @@ class CentralizedCritic(Module):
         self.hidden_size = hidden_size
         self.fused = bool(fused)
         self._trunk_workspace: dict = {}
+        self._sequence_workspace: dict = {}
         self.encoder = Linear(feature_dim, hidden_size, rng, fused=fused)
         self.lstm = LSTMCell(hidden_size, hidden_size, rng, fused=fused)
         self.value_head = Linear(hidden_size, 1, rng, gain=1.0, fused=fused)
@@ -149,6 +150,34 @@ class CentralizedCritic(Module):
             return h_new, (h_new, c_new)
         encoded = self.encoder(features).tanh()
         return self.lstm(encoded, state)
+
+    def sequence_hidden(
+        self, feature_seq: Tensor | np.ndarray, state: tuple
+    ) -> Tensor:
+        """Recurrent trunk over a whole ``(horizon, batch, features)`` sequence.
+
+        Returns the ``(horizon, batch, hidden)`` hidden states of
+        :meth:`step_hidden` unrolled from ``state`` — with ``fused=True``
+        as one :func:`repro.nn.tensor.lstm_sequence` node (bit-exact with
+        the unroll), otherwise as the per-step composed chain, stacked.
+        """
+        feature_seq = Tensor.ensure(feature_seq)
+        if not self.fused:
+            hidden = []
+            for t in range(feature_seq.shape[0]):
+                h, state = self.step_hidden(feature_seq[t], state)
+                hidden.append(h)
+            return stack(hidden, axis=0)
+        return lstm_sequence(
+            feature_seq,
+            state[0],
+            state[1],
+            self.encoder.weight,
+            self.encoder.bias,
+            self.lstm.weight,
+            self.lstm.bias,
+            workspace=self._sequence_workspace,
+        )
 
     def forward(
         self, features: Tensor | np.ndarray, state: tuple

@@ -146,10 +146,12 @@ def train_lockstep(
     parameters on all B seeds with one ``(B·M)`` forward per tick and one
     combined PPO update.
 
-    Timing: ``duration_s`` is the per-seed share of the group's
-    wall-clock (group time / B, the amortized per-seed cost comparable
-    against serial histories); the whole-group wall-clock is recorded
-    once per seed in ``group_duration_s``.
+    Timing: like ``rl.runner.train``, an episode's clock runs from the
+    reset through the end-of-episode PPO update.  ``duration_s`` is the
+    per-seed share of the group's wall-clock (group time / B, the
+    amortized per-seed cost comparable against serial histories); the
+    whole-group wall-clock is recorded once per seed in
+    ``group_duration_s``.
     """
     group = LockstepEnvGroup(envs)
     policy = None
@@ -190,7 +192,6 @@ def train_lockstep(
                 total_rewards[b] += float(sum(result.rewards.values()))
             # drain=False: every env shares the horizon, so dones agree.
             done = results[0].done
-        duration = time.perf_counter() - started
         if policy is not None:
             stats_list = policy.end_episode_all(True)
         else:
@@ -198,6 +199,7 @@ def train_lockstep(
                 agent.end_episode(env, training=True)
                 for agent, env in zip(agents, envs)
             ]
+        duration = time.perf_counter() - started
         for b in range(len(envs)):
             histories[b].episodes.append(
                 EpisodeLog(

@@ -34,8 +34,21 @@ def _resample(data: np.ndarray, width: int) -> np.ndarray:
         finite = window[np.isfinite(window)]
         # A bucket with any finite sample averages those; an entirely
         # non-finite bucket stays NaN and renders as a gap.
-        pooled[index] = finite.mean() if finite.size else np.nan
+        pooled[index] = _finite_mean(finite) if finite.size else np.nan
     return pooled
+
+
+def _finite_mean(finite: np.ndarray) -> float:
+    """Mean of finite samples that cannot overflow.
+
+    ``sum(v) / n`` overflows to inf for samples near the float64 limit
+    (two samples of 9e307 already do); ``sum(v / n)`` stays in range,
+    and clamping to the samples' own range absorbs a last-ulp rounding
+    past the limit.
+    """
+    with np.errstate(over="ignore"):
+        mean = float(np.sum(finite / finite.size))
+    return min(max(mean, float(finite.min())), float(finite.max()))
 
 
 def _finite_bounds(data: np.ndarray, label: str) -> tuple[float, float]:

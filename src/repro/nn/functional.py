@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, affine, lstm_cell, lstm_trunk
+from repro.nn.tensor import Tensor, affine, lstm_cell, lstm_sequence, lstm_trunk
 
 __all__ = [
     "affine",
@@ -19,6 +19,7 @@ __all__ = [
     "huber_loss",
     "log_softmax",
     "lstm_cell",
+    "lstm_sequence",
     "lstm_trunk",
     "mse_loss",
     "softmax",

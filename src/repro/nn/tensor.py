@@ -15,11 +15,20 @@ PPO / A2C / DQN losses — rather than being a general-purpose framework.
 All arithmetic supports numpy-style broadcasting; gradients are
 "unbroadcast" (summed) back to the operand shapes.
 
-Two fused kernels complement the generic op set: :func:`affine`
-(``x @ W + b`` as one node) and :func:`lstm_cell` (a full LSTM step —
-four gates plus the state update — as two nodes with a hand-derived
-backward).  Both are bit-exact with the composed op sequences they
-replace, in forward values *and* accumulated gradients.
+Four fused kernels complement the generic op set, each bit-exact with
+the composed op sequence it replaces, in forward values *and*
+accumulated gradients:
+
+* :func:`affine` — ``x @ W + b`` as one node;
+* :func:`lstm_cell` — a full LSTM step (four gates plus the state
+  update) as two nodes with a hand-derived backward;
+* :func:`lstm_trunk` — the recurrent trunk step ``tanh(x @ We + be)``
+  into an LSTM cell, used for acting, serving and the per-agent
+  (unshared) update;
+* :func:`lstm_sequence` — that trunk over a whole ``(T, N, F)``
+  sequence as a single node with a hand-written BPTT backward, used by
+  the parameter-shared PPO update (bit-exact with ``T`` chained :func:`lstm_trunk`
+  steps).
 """
 
 from __future__ import annotations
@@ -963,3 +972,229 @@ def lstm_trunk(
 
     h_new = Tensor._from_op(h_data, (c_new,), tap_backward)
     return h_new, c_new
+
+
+def lstm_sequence(
+    x_seq: Union[Tensor, ArrayLike],
+    h0: Union[Tensor, ArrayLike],
+    c0: Union[Tensor, ArrayLike],
+    enc_weight: Union[Tensor, ArrayLike],
+    enc_bias: Union[Tensor, ArrayLike],
+    weight: Union[Tensor, ArrayLike],
+    bias: Union[Tensor, ArrayLike],
+    workspace: dict | None = None,
+) -> Tensor:
+    """Whole-sequence recurrent trunk: ``T`` :func:`lstm_trunk` steps as one node.
+
+    ``x_seq`` is ``(T, N, F)`` and ``h0``/``c0`` are ``(N, H)``.  Returns
+    the ``(T, N, H)`` hidden sequence that a chain of ``T``
+    :func:`lstm_trunk` calls from ``(h0, c0)`` would produce, stacked —
+    as a single graph node whose backward is one hand-written
+    reverse-time BPTT loop instead of ``2T`` tape closures.
+
+    Bit-exact with that chain (and so with the composed op chain) in the
+    forward values and in the gradients of all seven operands:
+
+    * the encoder ``tanh(x @ We + be)`` is hoisted out of the time loop
+      as one stacked ``np.matmul`` over the 3-D input, which runs the
+      very per-step GEMMs of the chain (a ``(T·N, F)`` 2-D reshape would
+      block rows differently and is not bit-exact);
+    * the backward replays :func:`lstm_trunk`'s expressions step by step
+      with the same grouping — ``dh = dH[t] + dh_next``,
+      ``dc = dc_next·f + tap``, the ``dpre += 0.0`` negative-zero flush;
+      only a purely elementwise factor is ever computed over a wider
+      slice than the per-step kernel uses (``1 - sigmoid`` over all four
+      gate columns at once), which leaves every element unchanged;
+    * weight and bias gradients are summed per step in reverse time
+      order, the order the tape accumulates them, and handed to each
+      parameter with one ``_accumulate`` call.  That is bit-exact when
+      this node is the parameter's first gradient in the backward pass
+      (always so in the PPO update, which zeroes gradients first).
+
+    Forward state saved for the backward is allocated per call, so any
+    number of sequences may be in flight; ``workspace`` (a plain dict)
+    recycles only the scratch buffers of the passes themselves, all of
+    them ``(N, ·)``-sized except the encoder's ``(T, N, ·)``
+    pre-activation.  No ``(T, ·)`` stack of per-step weight-gradient
+    products is ever built (see DESIGN.md).
+    """
+    x = Tensor.ensure(x_seq)
+    h0 = Tensor.ensure(h0)
+    c0 = Tensor.ensure(c0)
+    enc_weight = Tensor.ensure(enc_weight)
+    enc_bias = Tensor.ensure(enc_bias)
+    weight = Tensor.ensure(weight)
+    bias = Tensor.ensure(bias)
+    if x.data.ndim != 3:
+        raise ValueError("lstm_sequence expects (time, batch, features) inputs")
+    steps, rows = x.data.shape[0], x.data.shape[1]
+    if steps == 0:
+        raise ValueError("lstm_sequence needs at least one time step")
+    hs = c0.data.shape[-1]
+    enc_out = enc_weight.data.shape[-1]
+    ws = workspace if workspace is not None else {}
+
+    # xh[t] = [tanh(x[t] @ We + be), h[t-1]]: the cell input of step t.
+    xh = np.empty((steps, rows, enc_out + hs))
+    encoded = xh[:, :, :enc_out]
+    pre = _ws_buffer(ws, "enc_pre", (steps, rows, enc_out))
+    np.matmul(x.data, enc_weight.data, out=pre)
+    pre += enc_bias.data
+    np.tanh(pre, out=encoded)
+    xh[0, :, enc_out:] = h0.data
+    # sig holds the logistic of all four gate columns; only the i, f and
+    # o columns are read (one call over the row beats two over slices,
+    # and an elementwise op is bit-identical on any sub-slice).
+    sig = np.empty((steps, rows, 4 * hs))
+    g_act = np.empty((steps, rows, hs))
+    c_seq = np.empty((steps, rows, hs))
+    tanh_c = np.empty((steps, rows, hs))
+    h_seq = np.empty((steps, rows, hs))
+    gates = _ws_buffer(ws, "gates", (rows, 4 * hs))
+    ig = _ws_buffer(ws, "ig", (rows, hs))
+    c_prev = c0.data
+    for t in range(steps):
+        np.matmul(xh[t], weight.data, out=gates)
+        gates += bias.data
+        sig[t] = _stable_sigmoid(gates)
+        g_t = g_act[t]
+        np.tanh(gates[:, 2 * hs : 3 * hs], out=g_t)
+        sig_t = sig[t]
+        c_t = c_seq[t]
+        np.multiply(sig_t[:, hs : 2 * hs], c_prev, out=c_t)
+        np.multiply(sig_t[:, :hs], g_t, out=ig)
+        c_t += ig
+        np.tanh(c_t, out=tanh_c[t])
+        np.multiply(sig_t[:, 3 * hs :], tanh_c[t], out=h_seq[t])
+        if t + 1 < steps:
+            xh[t + 1, :, enc_out:] = h_seq[t]
+        c_prev = c_t
+
+    def sequence_backward(grad: np.ndarray) -> None:
+        last = steps - 1
+        encoder_grads = (
+            x.requires_grad or enc_weight.requires_grad or enc_bias.requires_grad
+        )
+        dpre = _ws_buffer(ws, "dpre", (rows, 4 * hs))
+        di = dpre[:, 0 * hs : 1 * hs]
+        df = dpre[:, 1 * hs : 2 * hs]
+        dg = dpre[:, 2 * hs : 3 * hs]
+        do = dpre[:, 3 * hs : 4 * hs]
+        oms = _ws_buffer(ws, "one_minus_sig", (rows, 4 * hs))
+        s = _ws_buffer(ws, "scratch", (rows, hs))
+        dh = _ws_buffer(ws, "dh", (rows, hs))
+        dc = _ws_buffer(ws, "dc", (rows, hs))
+        tap = _ws_buffer(ws, "tap", (rows, hs))
+        dc_f = _ws_buffer(ws, "dc_f", (rows, hs))
+        dxh = _ws_buffer(ws, "dxh", (rows, enc_out + hs))
+        de = dxh[:, :enc_out]
+        if weight.requires_grad:
+            gw = _ws_buffer(ws, "gw", weight.data.shape)
+            dw = _ws_buffer(ws, "dw", weight.data.shape)
+        if bias.requires_grad:
+            gb = _ws_buffer(ws, "gb", bias.data.shape)
+            db = _ws_buffer(ws, "db", bias.data.shape)
+        if encoder_grads:
+            dpre_enc = _ws_buffer(ws, "dpre_enc", (rows, enc_out))
+        if x.requires_grad:
+            dx = np.empty(x.data.shape)
+        if enc_bias.requires_grad:
+            gbe = _ws_buffer(ws, "gbe", enc_bias.data.shape)
+            dbe = _ws_buffer(ws, "dbe", enc_bias.data.shape)
+        if enc_weight.requires_grad:
+            gwe = _ws_buffer(ws, "gwe", enc_weight.data.shape)
+            dwe = _ws_buffer(ws, "dwe", enc_weight.data.shape)
+        w_t = weight.data.T
+        for t in range(last, -1, -1):
+            sig_t = sig[t]
+            tc_t = tanh_c[t]
+            np.subtract(1.0, sig_t, out=oms)
+            # h_t feeds the caller (dH[t]) and step t+1 (dxh's h part,
+            # still holding step t+1's values here).
+            if t == last:
+                dh_t = grad[t]
+            else:
+                np.add(grad[t], dxh[:, enc_out:], out=dh)
+                dh_t = dh
+            # c_t feeds step t+1 (dc_f) and h_t's tanh (the tap).
+            np.multiply(dh_t, sig_t[:, 3 * hs :], out=tap)
+            np.multiply(tc_t, tc_t, out=s)
+            np.subtract(1.0, s, out=s)
+            tap *= s
+            if t == last:
+                dc_t = tap
+            else:
+                np.add(dc_f, tap, out=dc)
+                dc_t = dc
+            np.multiply(dc_t, g_act[t], out=di)
+            di *= sig_t[:, :hs]
+            di *= oms[:, :hs]
+            np.multiply(dc_t, c_seq[t - 1] if t else c0.data, out=df)
+            df *= sig_t[:, hs : 2 * hs]
+            df *= oms[:, hs : 2 * hs]
+            np.multiply(dc_t, sig_t[:, :hs], out=dg)
+            np.multiply(g_act[t], g_act[t], out=s)
+            np.subtract(1.0, s, out=s)
+            dg *= s
+            np.multiply(dh_t, tc_t, out=do)
+            do *= sig_t[:, 3 * hs :]
+            do *= oms[:, 3 * hs :]
+            # The composed path scatters each gate grad into a zeroed
+            # array, which flushes negative zeros; match it.
+            dpre += 0.0
+            if weight.requires_grad:
+                if t == last:
+                    np.matmul(xh[t].T, dpre, out=gw)
+                else:
+                    np.matmul(xh[t].T, dpre, out=dw)
+                    gw += dw
+            if bias.requires_grad:
+                # np.add.reduce is what np.sum runs, minus its wrapper.
+                if t == last:
+                    np.add.reduce(dpre, axis=0, out=gb)
+                else:
+                    np.add.reduce(dpre, axis=0, out=db)
+                    gb += db
+            np.matmul(dpre, w_t, out=dxh)
+            np.multiply(dc_t, sig_t[:, hs : 2 * hs], out=dc_f)
+            if not encoder_grads:
+                continue
+            # Encoder tail: replay the composed tanh + affine backwards.
+            enc_t = encoded[t]
+            np.multiply(enc_t, enc_t, out=dpre_enc)
+            np.subtract(1.0, dpre_enc, out=dpre_enc)
+            dpre_enc *= de
+            if x.requires_grad:
+                np.matmul(dpre_enc, enc_weight.data.T, out=dx[t])
+            if enc_bias.requires_grad:
+                if t == last:
+                    np.add.reduce(dpre_enc, axis=0, out=gbe)
+                else:
+                    np.add.reduce(dpre_enc, axis=0, out=dbe)
+                    gbe += dbe
+            if enc_weight.requires_grad:
+                if t == last:
+                    np.matmul(x.data[t].T, dpre_enc, out=gwe)
+                else:
+                    np.matmul(x.data[t].T, dpre_enc, out=dwe)
+                    gwe += dwe
+        if weight.requires_grad:
+            weight._accumulate(gw)
+        if bias.requires_grad:
+            bias._accumulate(gb)
+        if h0.requires_grad:
+            h0._accumulate(dxh[:, enc_out:])
+        if c0.requires_grad:
+            c0._accumulate(dc_f)
+        if x.requires_grad:
+            x._accumulate(dx)
+        if enc_bias.requires_grad:
+            enc_bias._accumulate(gbe)
+        if enc_weight.requires_grad:
+            enc_weight._accumulate(gwe)
+
+    return Tensor._from_op(
+        h_seq,
+        (x, h0, c0, enc_weight, enc_bias, weight, bias),
+        sequence_backward,
+    )

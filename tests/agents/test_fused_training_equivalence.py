@@ -148,5 +148,11 @@ class TestTelemetryBitExactness:
         TIMERS.reset()
         assert "update/epoch" in report
         assert "update/minibatch" in report
+        steps = report["update/minibatch"]["calls"]
+        for layer in ("update/forward", "update/backward", "update/optim"):
+            assert report[layer]["calls"] == steps, layer
+            assert (
+                report[layer]["seconds"] <= report["update/minibatch"]["seconds"]
+            ), layer
         assert report["update/epoch"]["calls"] >= 1
         assert report["update/minibatch"]["calls"] >= report["update/epoch"]["calls"]

@@ -15,11 +15,13 @@ seed, down to the parameter bytes.  The suite pins:
 * the clean ``ConfigError`` for agents the policy group cannot drive;
 * the ``shared_across_replicas`` training regime (no serial oracle:
   deterministic, finite, one combined update);
-* the satellite fix: ``duration_s`` is the per-seed share and
-  ``group_duration_s`` the whole-group wall-clock.
+* duration stamping: ``duration_s`` is the per-seed share and
+  ``group_duration_s`` the whole-group wall-clock, PPO update included.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
@@ -182,6 +184,29 @@ class TestGroupDurationStamping:
         for history in histories:
             for log in history.episodes:
                 assert log.group_duration_s > 0.0
+                assert log.duration_s == pytest.approx(
+                    log.group_duration_s / len(SEEDS)
+                )
+
+    def test_group_duration_covers_the_update(self, monkeypatch):
+        """The clock stops after ``end_episode_all`` (the PPO update),
+        as ``rl.runner.train``'s does after ``end_episode``."""
+        from repro.agents.pairuplight.batched import BatchedPolicyGroup
+
+        pause_s = 0.25
+        original = BatchedPolicyGroup.end_episode_all
+
+        def slow_end_episode_all(self, training):
+            time.sleep(pause_s)
+            return original(self, training)
+
+        monkeypatch.setattr(
+            BatchedPolicyGroup, "end_episode_all", slow_end_episode_all
+        )
+        _, histories = _batched_histories(_pairuplight, batched_policy=True)
+        for history in histories:
+            for log in history.episodes:
+                assert log.group_duration_s >= pause_s
                 assert log.duration_s == pytest.approx(
                     log.group_duration_s / len(SEEDS)
                 )

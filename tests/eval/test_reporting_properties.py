@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
@@ -31,6 +31,7 @@ ALLOWED = set(_BLOCKS) | {"?"}
 
 class TestSparklineProperties:
     @given(series_with_a_finite_value, st.integers(min_value=1, max_value=120))
+    @example([8.99e307, 8.99e307], 1)
     @settings(max_examples=200)
     def test_never_crashes_and_width_bounded(self, values, width):
         line = sparkline(values, width=width)
@@ -54,6 +55,12 @@ class TestSparklineProperties:
     def test_constant_series_is_flat(self, value, length):
         line = sparkline([value] * length)
         assert set(line) == {_BLOCKS[0]}
+
+    def test_bucket_mean_near_float_max_does_not_overflow(self):
+        # The plain bucket mean (sum, then divide) overflows to inf here
+        # and the whole series read as having no finite value.
+        assert sparkline([8.99e307, 8.99e307], width=1) == _BLOCKS[0]
+        assert sparkline([1.7e308, 1.7e308, 1.7e308], width=1) == _BLOCKS[0]
 
     def test_nan_renders_as_gap(self):
         line = sparkline([1.0, float("nan"), 3.0])
